@@ -4,9 +4,8 @@ Stores each class's visited patterns as deduplicated rows of packed bits
 (8 neurons per byte, padded to whole 64-bit words) and answers whole query
 matrices at once: a batched γ-membership check is one broadcast XOR
 between the ``(N, W)`` query words and the ``(M, W)`` visited words, a
-hardware popcount (``np.bitwise_count``, with a byte-LUT fallback for
-older numpy), a row-wise minimum and a comparison against γ — all inside
-numpy, no per-sample Python.
+hardware popcount (``np.bitwise_count``), a row-wise minimum and a
+comparison against γ — all inside numpy, no per-sample Python.
 
 This is the NAP-monitor style representation (od-test lineage): exact, not
 an abstraction, and the natural engine to race against the BDD backend.
@@ -18,38 +17,14 @@ queries sub-linear in the number of stored patterns.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.monitor.backends.base import ZoneBackend
 
-#: popcount of every byte value — fallback when numpy lacks the hardware
-#: ``bitwise_count`` ufunc (added in numpy 2.0).
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
-
-#: ``REPRO_FORCE_POPCOUNT_LUT=1`` forces the byte-LUT kernel even when the
-#: hardware ufunc exists, so CI on numpy>=2 can still exercise the numpy<2
-#: fallback path.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count") and os.environ.get(
-    "REPRO_FORCE_POPCOUNT_LUT", ""
-).lower() not in ("1", "true", "yes")
-
 #: Cap on the temporary ``(chunk, M, W)`` XOR cube, in bytes.
 _CHUNK_BYTES = 1 << 26  # 64 MiB
-
-
-def _popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words)
-    bytes_view = words.view(np.uint8)
-    return _POPCOUNT[bytes_view].reshape(words.shape + (8,)).sum(
-        axis=-1, dtype=np.uint64
-    )
 
 
 def merge_sorted_pair(
@@ -356,13 +331,13 @@ class BitsetZoneBackend(ZoneBackend):
             queries = words[:, 0]
             for start in range(0, len(words), chunk):
                 block = queries[start : start + chunk, None]
-                distances = _popcount_words(block ^ zone[None, :])
+                distances = np.bitwise_count(block ^ zone[None, :])
                 out[start : start + chunk] = distances.min(axis=1)
             return out
         zone = self._words[None, :, :]
         for start in range(0, len(words), chunk):
             block = words[start : start + chunk, None, :]
-            distances = _popcount_words(block ^ zone).sum(axis=2, dtype=np.int64)
+            distances = np.bitwise_count(block ^ zone).sum(axis=2, dtype=np.int64)
             out[start : start + chunk] = distances.min(axis=1)
         return out
 
@@ -446,7 +421,6 @@ class BitsetZoneBackend(ZoneBackend):
             "density": patterns / total,
             "visited_patterns": visited,
             "storage_bytes": int(self._words.nbytes),
-            "popcount_kernel": "bitwise_count" if _HAS_BITWISE_COUNT else "lut",
             "indexed": self.indexed,
         }
         index = self._indices.get(gamma)

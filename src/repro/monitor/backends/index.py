@@ -48,7 +48,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.monitor.backends.bitset import _popcount_words, merge_sorted_pair
+from repro.monitor.backends.bitset import merge_sorted_pair
 
 
 def _pack_band(bits: np.ndarray) -> np.ndarray:
@@ -111,7 +111,7 @@ class MultiIndexHammingIndex:
         if pad:
             packed = np.pad(packed, ((0, 0), (0, pad)))
         self._proto = np.ascontiguousarray(packed).view(np.uint64)
-        self._proto_dists = _popcount_words(words ^ self._proto).sum(
+        self._proto_dists = np.bitwise_count(words ^ self._proto).sum(
             axis=1, dtype=np.int64
         )
         self._proto_sorted = np.sort(self._proto_dists)
@@ -163,7 +163,7 @@ class MultiIndexHammingIndex:
                 self._band_sorted[b], values[order],
                 self._band_order[b], new_ids[order],
             )
-        new_dists = _popcount_words(words[start:] ^ self._proto).sum(
+        new_dists = np.bitwise_count(words[start:] ^ self._proto).sum(
             axis=1, dtype=np.int64
         )
         self._proto_dists = np.concatenate([self._proto_dists, new_dists])
@@ -205,7 +205,7 @@ class MultiIndexHammingIndex:
         # Vectorized ring pre-filter: a query whose distance ring
         # [d(q,proto)-γ, d(q,proto)+γ] holds no stored pattern at all is
         # farther than γ from everything (triangle inequality).
-        qd = _popcount_words(qwords ^ self._proto).sum(axis=1, dtype=np.int64)
+        qd = np.bitwise_count(qwords ^ self._proto).sum(axis=1, dtype=np.int64)
         lo = np.searchsorted(self._proto_sorted, qd - gamma, side="left")
         hi = np.searchsorted(self._proto_sorted, qd + gamma, side="right")
         alive = np.flatnonzero(hi > lo)
@@ -250,10 +250,10 @@ class MultiIndexHammingIndex:
                 continue
             self.candidates_scanned += m
             if single_word:
-                dist = _popcount_words(qwords[i, 0] ^ zone_flat[cands]).min()
+                dist = np.bitwise_count(qwords[i, 0] ^ zone_flat[cands]).min()
             else:
                 dist = (
-                    _popcount_words(qwords[i] ^ words[cands])
+                    np.bitwise_count(qwords[i] ^ words[cands])
                     .sum(axis=1, dtype=np.int64)
                     .min()
                 )

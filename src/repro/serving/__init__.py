@@ -14,23 +14,25 @@ this package turns one monitor into a serving fleet:
   distances.  Batches execute on a pluggable executor: inline on the
   loop, a shared thread pool, the multiprocess shard pool, or the TCP
   shard cluster;
-* :mod:`repro.serving.procpool` — :class:`ProcessShardPool`,
-  shared-nothing worker *processes* rehydrating the shards from
-  portable visited-pattern payloads, with warm-up handshake, graceful
-  drain, shortest-queue block dispatch, and crash detection with
-  automatic respawn and in-flight block requeue;
+* :mod:`repro.serving.executor` — the one threaded shard-executor core
+  under both worker fleets: per-worker pipe-shaped links with one reply
+  pump each, shortest-queue dispatch over each shard's holder set,
+  drain/requeue on worker death, the fleet-atomic zone swap, γ
+  broadcast, routed sync queries, stats, and the one worker serve loop;
+* :mod:`repro.serving.procpool` — :class:`ProcessShardPool`, the core
+  over local worker *processes* and ``multiprocessing`` pipes, with
+  automatic respawn;
 * :mod:`repro.serving.shmring` — preallocated shared-memory
-  request/response rings that carry the packed row blocks and results
-  zero-copy between parent and workers (pipes demoted to a control
-  plane; pickled-pipe fallback per oversized block);
+  request/response rings that carry the pool's packed row blocks and
+  results zero-copy (pipes demoted to a control plane; pickled-pipe
+  fallback per oversized block);
 * :mod:`repro.serving.netproto` — the length-prefixed frame codec that
-  carries the same control tuples over TCP sockets;
+  carries the same messages over blocking TCP sockets;
 * :mod:`repro.serving.cluster` — :class:`ClusterCoordinator` +
-  :func:`run_worker`, the cross-host generalisation of the process
-  pool: workers register over a listen socket, shards are placed with
-  per-shard replica sets, heartbeats detect dead connections, and a
-  dropped worker either reconnects or has its shards re-placed on the
-  survivors with unanswered blocks requeued.
+  :func:`run_worker`, the core over TCP: workers register on a listen
+  socket, shards are placed with per-shard replica sets, heartbeats
+  detect dead connections, and a dropped worker either reconnects or
+  has its shards re-placed on the survivors.
 
 See the serving sections of ``monitor/backends/README.md`` for the
 sharding, process execution and TCP cluster models and tuning knobs,
@@ -47,7 +49,7 @@ from repro.serving.server import (
     run_stream,
 )
 from repro.serving.procpool import ProcessShardPool, WorkerCrashError
-from repro.serving.cluster import ClusterCoordinator, RemoteWorkerClient, run_worker
+from repro.serving.cluster import ClusterCoordinator, run_worker
 from repro.serving.netproto import ConnectionClosed, ProtocolError
 
 __all__ = [
@@ -61,7 +63,6 @@ __all__ = [
     "ProcessShardPool",
     "WorkerCrashError",
     "ClusterCoordinator",
-    "RemoteWorkerClient",
     "run_worker",
     "ConnectionClosed",
     "ProtocolError",

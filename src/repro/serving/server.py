@@ -198,7 +198,7 @@ class StreamServer:
           ``pool_transport="pipe"`` (crashed workers respawn with
           in-flight blocks requeued and ring slots reclaimed);
         * ``"cluster"`` — a :class:`~repro.serving.cluster.ClusterCoordinator`:
-          the same block protocol over asyncio TCP, so workers can live
+          the same block protocol over TCP, so workers can live
           on other hosts (``cluster_address`` binds the listen socket
           external ``python -m repro serve-worker`` processes dial;
           ``None`` self-hosts ``workers`` local processes on loopback).
@@ -347,46 +347,13 @@ class StreamServer:
                 self._executor = ThreadPoolExecutor(
                     max_workers=threads, thread_name_prefix="repro-serving"
                 )
-        elif self.executor_mode == "process":
-            from repro.serving.procpool import ProcessShardPool
-
-            def _build_and_start():
-                pool = ProcessShardPool(
-                    self.router.shards,
-                    num_workers=self.workers,
-                    context=self.pool_context,
-                    transport=self.pool_transport,
-                    dispatch=self.pool_dispatch,
-                )
-                pool.start()  # blocks until every worker is rehydrated
-                return pool
-
-            # Payload packing + spawn + per-worker warm-up handshakes can
-            # take seconds for large zones; on an already-busy loop that
-            # must not freeze every other coroutine.
+        elif self.executor_mode in ("process", "cluster"):
+            # Payload packing, spawn (or waiting for remote registrations)
+            # and the per-worker warm-up handshakes can take seconds for
+            # large zones; on an already-busy loop that must not freeze
+            # every other coroutine.
             self._pool = await asyncio.get_running_loop().run_in_executor(
-                None, _build_and_start
-            )
-        elif self.executor_mode == "cluster":
-            from repro.serving.cluster import ClusterCoordinator
-
-            def _build_and_start_cluster():
-                coordinator = ClusterCoordinator(
-                    self.router.shards,
-                    listen=self.cluster_address,
-                    workers=self.workers,
-                    context=self.pool_context,
-                    heartbeat_interval=self.cluster_heartbeat_interval,
-                    heartbeat_timeout=self.cluster_heartbeat_timeout,
-                )
-                coordinator.start()  # blocks until the fleet registered
-                return coordinator
-
-            # Same off-loop rule as the process pool: binding, spawning
-            # (or waiting for remote registrations) and the per-worker
-            # init handshakes must not park the event loop.
-            self._pool = await asyncio.get_running_loop().run_in_executor(
-                None, _build_and_start_cluster
+                None, self._start_fleet
             )
         for shard in self.router.shards:
             queue: "asyncio.Queue[Optional[_CheckRequest]]" = asyncio.Queue(
@@ -401,6 +368,32 @@ class StreamServer:
             self._workers.append(
                 asyncio.ensure_future(self._classify_worker(self._classify_queue))
             )
+
+    def _start_fleet(self):
+        """Build and start the worker fleet; blocks until it is rehydrated."""
+        if self.executor_mode == "process":
+            from repro.serving.procpool import ProcessShardPool
+
+            fleet = ProcessShardPool(
+                self.router.shards,
+                num_workers=self.workers,
+                context=self.pool_context,
+                transport=self.pool_transport,
+                dispatch=self.pool_dispatch,
+            )
+        else:
+            from repro.serving.cluster import ClusterCoordinator
+
+            fleet = ClusterCoordinator(
+                self.router.shards,
+                listen=self.cluster_address,
+                workers=self.workers,
+                context=self.pool_context,
+                heartbeat_interval=self.cluster_heartbeat_interval,
+                heartbeat_timeout=self.cluster_heartbeat_timeout,
+            )
+        fleet.start()
+        return fleet
 
     async def stop(self) -> None:
         """Drain queued work, then stop every worker."""

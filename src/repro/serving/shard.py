@@ -18,7 +18,7 @@ complete per-class monitor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,6 +158,47 @@ class MonitorShard:
         return f"MonitorShard(id={self.shard_id}, classes={self.classes})"
 
 
+def owner_table(classes_by_shard: Iterable[Tuple[int, Iterable[int]]]) -> np.ndarray:
+    """Dense class → shard-id lookup (``-1`` = no shard monitors the class).
+
+    Built once per shard layout from ``(shard_id, classes)`` pairs, so
+    routing a block is one fancy-index instead of a membership test per
+    shard.  Rejects a class owned by two shards and negative class ids.
+    """
+    pairs = [(int(shard_id), [int(c) for c in classes])
+             for shard_id, classes in classes_by_shard]
+    top = max((c for _, classes in pairs for c in classes), default=-1)
+    owner = np.full(top + 1, -1, dtype=np.int64)
+    for shard_id, classes in pairs:
+        for c in classes:
+            if c < 0:
+                raise ValueError(f"class ids must be non-negative, got {c}")
+            if owner[c] >= 0:
+                raise ValueError(f"class {c} is owned by two shards")
+            owner[c] = shard_id
+    return owner
+
+
+def route_rows(owner: np.ndarray, predicted_classes) -> Dict[int, np.ndarray]:
+    """Group query rows by owning shard: shard_id → ascending row indices.
+
+    Rows whose class is negative, past the end of ``owner`` or owned by
+    no shard appear under no shard (trusted unmonitored, mirroring
+    ``NeuronActivationMonitor.check``).
+    """
+    classes = np.atleast_1d(np.asarray(predicted_classes)).ravel()
+    ids = classes.astype(np.int64, copy=False)
+    valid = (ids >= 0) & (ids < len(owner))
+    if classes.dtype.kind not in "iu":
+        valid &= ids == classes  # a fractional class id names no class
+    shard_of = np.full(len(ids), -1, dtype=np.int64)
+    shard_of[valid] = owner[ids[valid]]
+    return {
+        int(shard_id): np.flatnonzero(shard_of == shard_id)
+        for shard_id in np.unique(shard_of[shard_of >= 0])
+    }
+
+
 class ShardRouter:
     """Partition a classification monitor per-class and route queries.
 
@@ -173,15 +214,21 @@ class ShardRouter:
         self.shards = list(shards)
         self.epoch = 0
         self._shard_by_id: Dict[int, MonitorShard] = {}
-        self._owner: Dict[int, MonitorShard] = {}
         for shard in self.shards:
             if shard.shard_id in self._shard_by_id:
                 raise ValueError(f"duplicate shard id {shard.shard_id}")
             self._shard_by_id[shard.shard_id] = shard
-            for c in shard.classes:
-                if c in self._owner:
-                    raise ValueError(f"class {c} is owned by two shards")
-                self._owner[c] = shard
+        self._index_owners(owner_table((s.shard_id, s.classes) for s in self.shards))
+
+    def _index_owners(self, table: np.ndarray) -> None:
+        """Install a dense :func:`owner_table` plus its scalar-lookup form
+        (``shard_for``/``owns`` answer one row at a time)."""
+        self._table = table
+        self._owner: Dict[int, MonitorShard] = {
+            c: self._shard_by_id[int(shard_id)]
+            for c, shard_id in enumerate(self._table.tolist())
+            if shard_id >= 0
+        }
 
     @classmethod
     def partition(
@@ -239,13 +286,7 @@ class ShardRouter:
         Rows predicted as unmonitored classes appear under no shard (they
         are trusted unmonitored, mirroring ``NeuronActivationMonitor.check``).
         """
-        predicted_classes = np.asarray(predicted_classes)
-        groups: Dict[int, np.ndarray] = {}
-        for shard in self.shards:
-            mask = np.isin(predicted_classes, shard.classes)
-            if mask.any():
-                groups[shard.shard_id] = np.flatnonzero(mask)
-        return groups
+        return route_rows(self._table, predicted_classes)
 
     def check(self, patterns: np.ndarray, predicted_classes: np.ndarray) -> np.ndarray:
         """Synchronous routed check: dispatch per shard, stitch results."""
@@ -309,14 +350,10 @@ class ShardRouter:
             shard_id: MonitorShard.from_payload(payload).monitor
             for shard_id, payload in payload_by_shard.items()
         }
-        owner: Dict[int, MonitorShard] = {}
+        table = owner_table((sid, m.classes) for sid, m in rebuilt.items())
         for shard in self.shards:
             shard.monitor = rebuilt[shard.shard_id]
-            for c in shard.classes:
-                if c in owner:
-                    raise ValueError(f"class {c} is owned by two shards")
-                owner[c] = shard
-        self._owner = owner
+        self._index_owners(table)
         self.epoch = int(snapshot.epoch)
 
     def __len__(self) -> int:

@@ -80,30 +80,6 @@ class TestBitsetBackend:
         assert backend.is_empty()
         assert backend.size(2) == 0
 
-    def test_byte_lut_popcount_fallback(self, monkeypatch):
-        """The numpy<2 byte-LUT kernel must agree with the hardware
-        bitwise_count path (CI also forces it via
-        REPRO_FORCE_POPCOUNT_LUT across the whole suite)."""
-        import repro.monitor.backends.bitset as bitset_mod
-
-        rng = np.random.default_rng(7)
-        visited = (rng.random((30, 70)) < 0.5).astype(np.uint8)
-        probes = (rng.random((100, 70)) < 0.5).astype(np.uint8)
-        results = {}
-        for forced in (True, False):
-            monkeypatch.setattr(bitset_mod, "_HAS_BITWISE_COUNT", forced)
-            backend = BitsetZoneBackend(70)
-            backend.add_patterns(visited)
-            results[forced] = (
-                backend.min_distances(probes),
-                backend.contains_batch(probes, 2),
-                backend.statistics(0)["popcount_kernel"],
-            )
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        np.testing.assert_array_equal(results[True][1], results[False][1])
-        assert results[True][2] == "bitwise_count"
-        assert results[False][2] == "lut"
-
     def test_chunked_query_path(self, monkeypatch):
         """Queries larger than the chunk budget still answer correctly."""
         import repro.monitor.backends.bitset as bitset_mod

@@ -87,6 +87,10 @@ class TestShardRouter:
         covered = np.sort(np.concatenate(list(groups.values())))
         # Row 5 (class 99) is unmonitored: routed nowhere.
         np.testing.assert_array_equal(covered, np.arange(5))
+        # Negative and far out-of-range class ids route nowhere either.
+        groups = router.route(np.array([-1, 0, -7, 3, 10**9]))
+        covered = np.sort(np.concatenate(list(groups.values())))
+        np.testing.assert_array_equal(covered, [1, 3])
 
     def test_assemble_is_inverse_of_partition(self):
         monitor = _monitor()

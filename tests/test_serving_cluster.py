@@ -87,23 +87,6 @@ class TestNetproto:
         with pytest.raises(netproto.ProtocolError, match="ceiling"):
             netproto.decode_length(header)
 
-    def test_write_frame_rejects_oversized_payload_before_sending(
-        self, monkeypatch
-    ):
-        # The ceiling is enforced on the *write* side too: an oversized
-        # message raises before a single byte reaches the stream, so the
-        # peer never sees a torn or half-framed write.
-        monkeypatch.setattr(netproto, "MAX_FRAME_BYTES", 64)
-        written = []
-
-        class _Writer:
-            def write(self, data):
-                written.append(data)
-
-        with pytest.raises(netproto.ProtocolError, match="ceiling"):
-            netproto.write_frame(_Writer(), ("req", b"\x00" * 4096))
-        assert written == []
-
     def test_blocking_send_rejects_oversized_payload_before_sending(
         self, monkeypatch
     ):
@@ -130,41 +113,53 @@ class TestNetproto:
         with pytest.raises(netproto.ProtocolError, match="ceiling"):
             netproto.encode_frame(("x", "one byte longer"))
 
-    def test_read_frame_reassembles_one_byte_fragments(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            frame = netproto.encode_frame(("ping", 123))
-            task = asyncio.ensure_future(netproto.read_frame(reader))
-            for i in range(len(frame)):
-                reader.feed_data(frame[i : i + 1])
-                await asyncio.sleep(0)
-            return await task
+    def test_recv_reassembles_one_byte_fragments(self):
+        left, right = socket.socketpair()
+        reader = netproto.FrameConnection(right)
+        frame = netproto.encode_frame(("ping", 123))
 
-        assert asyncio.run(scenario()) == ("ping", 123)
+        def dribble():
+            for i in range(len(frame)):
+                left.sendall(frame[i : i + 1])
+                time.sleep(0.001)
+
+        writer = threading.Thread(target=dribble)
+        writer.start()
+        try:
+            assert reader.recv() == ("ping", 123)
+        finally:
+            writer.join(timeout=30)
+            left.close()
+            reader.close()
 
     def test_eof_between_frames_is_a_clean_close(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(netproto.encode_frame(("pong", 1)))
-            reader.feed_eof()
-            first = await netproto.read_frame(reader)
+        left, right = socket.socketpair()
+        reader = netproto.FrameConnection(right)
+        try:
+            left.sendall(netproto.encode_frame(("pong", 1)))
+            left.close()
+            assert reader.recv() == ("pong", 1)
             with pytest.raises(netproto.ConnectionClosed):
-                await netproto.read_frame(reader)
-            return first
-
-        assert asyncio.run(scenario()) == ("pong", 1)
+                reader.recv()
+        finally:
+            reader.close()
 
     def test_eof_inside_a_frame_is_a_protocol_error(self):
-        async def truncated(cut):
-            reader = asyncio.StreamReader()
-            reader.feed_data(netproto.encode_frame(("req", list(range(64))))[:cut])
-            reader.feed_eof()
-            await netproto.read_frame(reader)
+        def truncated(cut):
+            left, right = socket.socketpair()
+            reader = netproto.FrameConnection(right)
+            try:
+                left.sendall(netproto.encode_frame(("req", list(range(64))))[:cut])
+                left.close()
+                reader.recv()
+            finally:
+                reader.close()
 
-        with pytest.raises(netproto.ProtocolError, match="header"):
-            asyncio.run(truncated(2))  # torn inside the length prefix
+        with pytest.raises(netproto.ProtocolError, match="header") as torn:
+            truncated(2)  # torn inside the length prefix
+        assert not isinstance(torn.value, netproto.ConnectionClosed)
         with pytest.raises(netproto.ProtocolError, match="payload"):
-            asyncio.run(truncated(10))  # torn inside the payload
+            truncated(10)  # torn inside the payload
         # ConnectionClosed subclasses ProtocolError: one except arm
         # handles both on the read loops.
         assert issubclass(netproto.ConnectionClosed, netproto.ProtocolError)

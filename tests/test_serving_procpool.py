@@ -287,6 +287,28 @@ class TestFaultInjection:
             assert victim not in pool.worker_pids()
             assert len(pool.worker_pids()) == 2
 
+    def test_respawn_counted_only_once_the_replacement_is_live(self, monkeypatch):
+        """A slow respawn never shows a counted death with a missing
+        worker: once total_respawns moves, the replacement is listed."""
+        monitor = _build_monitor()
+        router = ShardRouter.partition(monitor, 2)
+        with ProcessShardPool(router.shards, num_workers=2) as pool:
+            spawn = pool._spawn
+
+            def slow_spawn(index):
+                time.sleep(0.3)
+                return spawn(index)
+
+            monkeypatch.setattr(pool, "_spawn", slow_spawn)
+            victim = pool.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while pool.total_respawns == 0 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert pool.total_respawns == 1
+            pids = pool.worker_pids()
+            assert len(pids) == 2 and victim not in pids
+
     def test_respawn_budget_exhaustion_raises(self):
         # Owner dispatch: a shard's home slot is its only server, so
         # burning that slot's budget fails the shard's submissions.
