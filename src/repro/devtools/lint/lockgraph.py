@@ -12,7 +12,10 @@ safe global order is ``DriftResponder._lock`` before
 * method calls made while a lock is held add edges to every lock the
   callee (transitively) acquires, resolved through ``self``-attribute
   types (``self.staging = StagingZone(...)`` makes ``self.staging.drain()``
-  resolve into :class:`StagingZone`).
+  resolve into :class:`StagingZone`);
+* a class inherits the locks, attribute types and methods of its
+  analysed base classes (``class ProcessShardPool(ShardExecutor)``
+  makes ``with self._lock`` in the subclass the base's lock).
 
 A cycle in the resulting graph is a potential deadlock; the
 ``lock-discipline`` rule fails on it, and the runtime checker
@@ -63,6 +66,10 @@ class _ClassInfo:
     #: attr name -> class name for ``self.<attr> = SomeClass(...)``.
     attr_types: Dict[str, str] = field(default_factory=dict)
     methods: Dict[str, _MethodInfo] = field(default_factory=dict)
+    #: names of the ``class X(Base, ...)`` bases.
+    bases: List[str] = field(default_factory=list)
+    #: methods found on analysed bases and not overridden here.
+    inherited: Dict[str, _MethodInfo] = field(default_factory=dict)
 
 
 class LockGraph:
@@ -173,6 +180,9 @@ def _collect_classes(analysis: _Analysis, tree: ast.Module) -> List[_ClassInfo]:
         if not isinstance(node, ast.ClassDef):
             continue
         info = _ClassInfo(node.name)
+        info.bases = [
+            name for name in map(_call_terminal, node.bases) if name is not None
+        ]
         for method in node.body:
             if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.methods[method.name] = _MethodInfo(method)
@@ -202,6 +212,31 @@ def _collect_classes(analysis: _Analysis, tree: ast.Module) -> List[_ClassInfo]:
             analysis.lock_attr_owners.setdefault(attr, set()).add(info.name)
         collected.append(info)
     return collected
+
+
+def _inherit(analysis: _Analysis) -> None:
+    """Fold each analysed base class's locks, attribute types and methods
+    into its subclasses (the subclass's own entries win)."""
+    done: Set[str] = set()
+
+    def fold(info: _ClassInfo, seen: Set[str]) -> None:
+        if info.name in done or info.name in seen:
+            return
+        for base in (analysis.classes.get(name) for name in info.bases):
+            if base is None:
+                continue
+            fold(base, seen | {info.name})
+            for attr, lock_id in base.locks.items():
+                info.locks.setdefault(attr, lock_id)
+            for attr, type_name in base.attr_types.items():
+                info.attr_types.setdefault(attr, type_name)
+            for name, method in {**base.inherited, **base.methods}.items():
+                if name not in info.methods:
+                    info.inherited.setdefault(name, method)
+        done.add(info.name)
+
+    for info in analysis.classes.values():
+        fold(info, set())
 
 
 def _lock_id_of_expr(
@@ -234,14 +269,14 @@ def _callee_method(
         return None
     attr = _self_attr(func.value)
     if isinstance(func.value, ast.Name) and func.value.id == "self":
-        method = cls.methods.get(func.attr)
+        method = cls.methods.get(func.attr) or cls.inherited.get(func.attr)
         if method is not None:
             return cls, method
         return None
     if attr is not None:
         target = analysis.classes.get(cls.attr_types.get(attr, ""))
         if target is not None:
-            method = target.methods.get(func.attr)
+            method = target.methods.get(func.attr) or target.inherited.get(func.attr)
             if method is not None:
                 return target, method
     return None
@@ -350,6 +385,7 @@ def build_graph(modules: Sequence[Tuple[str, ast.Module]]) -> LockGraph:
     per_module: List[Tuple[str, List[_ClassInfo]]] = []
     for path, tree in modules:
         per_module.append((path, _collect_classes(analysis, tree)))
+    _inherit(analysis)
     _close_over_calls(analysis)
     graph = LockGraph()
     for cls in analysis.classes.values():

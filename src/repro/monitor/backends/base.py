@@ -23,6 +23,8 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.monitor.patterns import pack_patterns
+
 
 class ZoneBackend(ABC):
     """Abstract store of one class's visited patterns, queried under γ.
@@ -96,8 +98,20 @@ class ZoneBackend(ABC):
     @abstractmethod
     def visited_patterns(self) -> np.ndarray:
         """The deduplicated visited set ``Z^0`` as a ``(M, num_vars)``
-        uint8 array — the portable serialisation format shared by all
-        backends (save/load round-trips re-add these rows)."""
+        uint8 array (0/1 per neuron)."""
+
+    def visited_packed(self) -> np.ndarray:
+        """``Z^0`` in the one exchange form: deduplicated
+        ``pack_patterns`` rows in lexicographic byte order (the order
+        ``np.unique(rows, axis=0)`` produces).
+
+        Every hop that moves a zone — partition, merge, shard payloads,
+        drift snapshots, save/load and the zone store — carries these
+        rows, and :meth:`ComfortZone.add_packed` with
+        ``assume_sorted_unique=True`` ingests them.  Backends that
+        already hold their rows packed and sorted override this to skip
+        the unpack/re-pack."""
+        return np.unique(pack_patterns(self.visited_patterns()), axis=0)
 
     @abstractmethod
     def size(self, gamma: int) -> int:

@@ -353,6 +353,17 @@ class BitsetZoneBackend(ZoneBackend):
         bytes_view = self._words.view(np.uint8)[:, : self._row_bytes]
         return np.unpackbits(bytes_view, axis=1)[:, : self.num_vars]
 
+    def visited_packed(self) -> np.ndarray:
+        """The sorted dedup array as bytes — already the exchange form.
+
+        Pad bytes past ``row_bytes`` are zero in every row, so dropping
+        them keeps the void (memcmp) order.  The result is read-only: at
+        word-aligned widths it is a view of the stored rows."""
+        rows = self._sorted_void.view(np.uint8).reshape(-1, self._row_words * 8)
+        rows = np.ascontiguousarray(rows[:, : self._row_bytes])
+        rows.flags.writeable = False
+        return rows
+
     def size(self, gamma: int) -> int:  # lint: disable=hot-path-purity -- bounded diagnostic enumeration (budget-capped BFS), never on the serving path
         """Exact ``|Z^γ|`` by breadth-first Hamming expansion.
 

@@ -20,12 +20,12 @@ fleet:
    selection criterion.
 4. **Publication.**  The result is an immutable :class:`ZoneSnapshot`
    with a monotonically increasing *zone epoch*, carrying the per-shard
-   portable payloads (the exact :meth:`MonitorShard.to_payload` wire
-   form) plus the re-measured detector baselines.  The serving layer
-   installs it fleet-atomically (``ShardRouter.apply_snapshot`` /
-   ``ProcessShardPool.apply_snapshot``), so no block is ever answered by
-   a mixed-epoch fleet and crash respawns rehydrate at the current
-   epoch.
+   payloads (the exact :meth:`MonitorShard.to_payload` wire form: config
+   plus sorted packed rows) plus the re-measured detector baselines.  The
+   serving layer installs it fleet-atomically
+   (``ShardRouter.apply_snapshot`` / ``ProcessShardPool.apply_snapshot``),
+   so no block is ever answered by a mixed-epoch fleet and crash respawns
+   rehydrate at the current epoch.
 
 The responder owns the authoritative monitor between swaps; the serving
 shards are always rehydrated copies of a published snapshot.
@@ -47,12 +47,13 @@ from repro.monitor.monitor import NeuronActivationMonitor
 class ZoneSnapshot:
     """One immutable, versioned publication of the fleet's zone state.
 
-    ``payloads`` holds one portable shard payload per serving shard (the
-    :meth:`~repro.serving.shard.MonitorShard.to_payload` dict: metadata
-    plus bit-packed deduplicated visited sets), so any process — current
-    worker, crash replacement, or cold-started host — rehydrates the
-    same zones from it.  ``epoch`` is strictly monotonic per responder;
-    the serving layer rejects out-of-order installs.
+    ``payloads`` holds one shard payload per serving shard (the
+    :meth:`~repro.serving.shard.MonitorShard.to_payload` dict: the
+    monitor config plus, per class, ``Z^0`` as sorted deduplicated
+    packed rows), so any process — current worker, crash replacement,
+    or cold-started host — rehydrates the same zones from it.  ``epoch``
+    is strictly monotonic per responder; the serving layer rejects
+    out-of-order installs.
 
     ``baseline_oop_rate`` / ``baseline_distances`` are re-measured on
     the retained validation set against the *new* zones at the *new* γ,
@@ -195,12 +196,15 @@ def partition_payloads(
     monitor: NeuronActivationMonitor,
     shard_layout: Sequence[Tuple[int, Sequence[int]]],
 ) -> List[Dict[str, object]]:
-    """Slice a monitor into portable shard payloads along a given layout.
+    """Slice a monitor into shard payloads along a given layout.
 
     ``shard_layout`` is ``[(shard_id, classes), ...]`` — normally the
     serving fleet's existing partition, so a published snapshot swaps
-    zone *contents* without re-homing any class.  Every class in the
-    layout must be covered by the monitor.
+    zone *contents* without re-homing any class.  Every shard needs at
+    least one class, and every class must be covered by the monitor.
+    Each payload is the monitor's config restricted to the shard's
+    classes plus their sorted packed rows, read straight off the
+    monitor's zones.
     """
     # Imported lazily: repro.serving imports repro.monitor, and the
     # payload format is owned by MonitorShard — this is the one place the
@@ -209,25 +213,15 @@ def partition_payloads(
 
     payloads = []
     for shard_id, classes in shard_layout:
+        if not classes:
+            raise ValueError(f"shard {shard_id} has no classes")
         missing = [c for c in classes if c not in monitor.zones]
         if missing:
             raise ValueError(
                 f"shard {shard_id} expects classes {missing} the monitor "
                 f"does not cover"
             )
-        piece = NeuronActivationMonitor(
-            layer_width=monitor.layer_width,
-            classes=classes,
-            gamma=monitor.gamma,
-            monitored_neurons=monitor.monitored_neurons,
-            backend=monitor.backend_name,
-            indexed=monitor.indexed,
-        )
-        for c in classes:
-            visited = monitor.zones[c].backend.visited_patterns()
-            if len(visited):
-                piece.zones[c].add_patterns(visited)
-        payloads.append(MonitorShard(int(shard_id), piece).to_payload())
+        payloads.append(MonitorShard(int(shard_id), monitor).to_payload(classes))
     return payloads
 
 
@@ -346,14 +340,7 @@ class DriftResponder:
             staged = {c: rows for c, rows in staged.items() if c in self.monitor.zones}
             if not staged:
                 return None
-            staging_monitor = NeuronActivationMonitor(
-                layer_width=self.monitor.layer_width,
-                classes=list(staged),
-                gamma=self.monitor.gamma,
-                monitored_neurons=self.monitor.monitored_neurons,
-                backend=self.monitor.backend_name,
-                indexed=self.monitor.indexed,
-            )
+            staging_monitor = self.monitor.subset(staged)
             for c, rows in staged.items():
                 staging_monitor.zones[c].add_patterns(staging_monitor.project(rows))
             # Candidate = union of published zones and staging zones; the

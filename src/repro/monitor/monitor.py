@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.monitor.backends import DEFAULT_BACKEND
 from repro.monitor.backends.bdd import make_zone_manager
-from repro.monitor.patterns import extract_patterns, pack_patterns, unpack_patterns
+from repro.monitor.patterns import extract_patterns
 from repro.monitor.zone import ComfortZone
 from repro.nn.data import Dataset, stack_dataset
 from repro.nn.layers import Module
@@ -288,7 +288,8 @@ class NeuronActivationMonitor:
         the set union of the inputs' visited sets, with the zone backend
         taken from the first monitor.  All inputs must agree on
         ``layer_width`` and ``monitored_neurons``; backends may differ
-        (the visited sets are exchanged as plain pattern matrices).
+        (the visited sets are exchanged as sorted packed rows, see
+        :meth:`packed_zones`).
 
         ``gamma`` and ``indexed`` must either agree across the inputs or
         be chosen explicitly via the keyword overrides — silently adopting
@@ -322,31 +323,26 @@ class NeuronActivationMonitor:
                     "pass indexed= to choose explicitly"
                 )
             indexed = first.indexed
-        classes = sorted({c for m in monitors for c in m.classes})
-        merged = cls(
-            layer_width=first.layer_width,
-            classes=classes,
-            gamma=gamma,
-            monitored_neurons=first.monitored_neurons,
-            backend=first.backend_name,
-            indexed=indexed,
-        )
+        merged = cls.from_meta({
+            **first.store_meta(),
+            "classes": sorted({c for m in monitors for c in m.classes}),
+            "gamma": gamma,
+            "indexed": indexed,
+        })
         for monitor in monitors:
-            for c, zone in monitor.zones.items():
-                visited = zone.backend.visited_patterns()
-                if len(visited):
-                    merged.zones[c].add_patterns(visited)
+            merged.add_packed_zones(monitor.packed_zones())
         return merged
 
     # ------------------------------------------------------------------
-    # durable store (crash-consistent WAL + segments)
+    # the exchange form: config (store_meta) + sorted packed rows
     # ------------------------------------------------------------------
     def store_meta(self) -> Dict[str, object]:
-        """The monitor config as recorded in a store's META record.
+        """The monitor config — the one writer of it.
 
-        The same fields as :meth:`save`'s metadata (plus the monitored
-        neuron indices), so store state stays payload-compatible with
-        the portable ``to_payload()`` / save-file form.
+        A store's META record, the ``.npz`` ``meta`` entry (which keeps
+        ``monitored_neurons`` as its own array) and the shard payloads
+        all carry exactly these fields; :meth:`from_meta` reads them
+        back.
         """
         return {
             "layer_width": self.layer_width,
@@ -358,6 +354,55 @@ class NeuronActivationMonitor:
             "monitored_neurons": [int(i) for i in self.monitored_neurons],
         }
 
+    @classmethod
+    def from_meta(
+        cls, meta: Mapping[str, object], backend: Optional[str] = None
+    ) -> "NeuronActivationMonitor":
+        """An empty monitor from a :meth:`store_meta` config — the one
+        reader of it.
+
+        ``backend`` overrides the recorded engine (the zones travel as
+        plain packed rows, so any engine can ingest any other's).
+        Indexing is bitset-only and is dropped when the engine cannot
+        honour it.  ``pattern_width`` is derived, not read.
+        """
+        backend = backend or meta.get("backend", DEFAULT_BACKEND)
+        return cls(
+            layer_width=int(meta["layer_width"]),
+            classes=[int(c) for c in meta["classes"]],
+            gamma=int(meta["gamma"]),
+            monitored_neurons=meta.get("monitored_neurons"),
+            backend=backend,
+            indexed=bool(meta.get("indexed", False)) and backend == "bitset",
+        )
+
+    def subset(self, classes: Iterable[int]) -> "NeuronActivationMonitor":
+        """An empty sibling over ``classes``: same layer, projection, γ,
+        backend and index flag."""
+        return self.from_meta({**self.store_meta(), "classes": list(classes)})
+
+    def packed_zones(
+        self, classes: Optional[Iterable[int]] = None
+    ) -> Dict[int, np.ndarray]:
+        """Class → ``Z^0`` as sorted, deduplicated packed rows
+        (:meth:`ZoneBackend.visited_packed`), for all or some classes."""
+        classes = self.classes if classes is None else classes
+        return {int(c): self.zones[c].backend.visited_packed() for c in classes}
+
+    def add_packed_zones(self, zones: Mapping[int, np.ndarray]) -> None:
+        """Union :meth:`packed_zones` output into this monitor's zones.
+
+        The rows take the verified sorted fast path of
+        :meth:`ComfortZone.add_packed`; rows that are not in fact sorted
+        and unique are caught by that check and ingested the general
+        way.
+        """
+        for c, rows in zones.items():
+            self.zones[int(c)].add_packed(rows, assume_sorted_unique=True)
+
+    # ------------------------------------------------------------------
+    # durable store (crash-consistent WAL + segments)
+    # ------------------------------------------------------------------
     def attach_store(self, store) -> None:
         """Write-through this monitor to a :class:`~repro.store.ZoneStore`.
 
@@ -373,10 +418,9 @@ class NeuronActivationMonitor:
         meta = self.store_meta()
         if not store.initialized:
             store.initialize(meta)
-            for c in self.classes:
-                visited = self.zones[c].backend.visited_patterns()
-                if len(visited):
-                    store.append_insert(c, pack_patterns(visited))
+            for c, rows in self.packed_zones().items():
+                if len(rows):
+                    store.append_insert(c, rows)
         else:
             existing = store.meta
             for key in ("layer_width", "pattern_width"):
@@ -420,35 +464,25 @@ class NeuronActivationMonitor:
         """Cold-start a monitor from a store directory or open store.
 
         Recovery replays the newest valid segment plus the WAL tail into
-        fresh zones via the packed fast path (no unpack/re-pack round
-        trip on the bitset backend).  ``backend`` overrides the recorded
-        engine, exactly like :meth:`load`.  With ``attach=True`` the
-        rebuilt monitor immediately writes through to the same store.
+        fresh zones as packed rows.  Segment bodies are deduplicated and
+        byte-sorted by compaction — the exchange form — so they take the
+        sorted fast path; the WAL tail is raw append order and takes the
+        general one.  ``backend`` overrides the recorded engine, exactly
+        like :meth:`load`.  With ``attach=True`` the rebuilt monitor
+        immediately writes through to the same store.
         """
         from repro.store import ZoneStore
 
         if isinstance(store, (str, os.PathLike)):
             store = ZoneStore.open(store)
         state = store.state()
-        meta = state.meta
-        restored_backend = backend or meta.get("backend", DEFAULT_BACKEND)
-        monitor = cls(
-            layer_width=int(meta["layer_width"]),
-            classes=[int(c) for c in meta["classes"]],
-            gamma=int(state.gamma),
-            monitored_neurons=meta.get("monitored_neurons"),
-            backend=restored_backend,
-            indexed=bool(meta.get("indexed", False)) and restored_backend == "bitset",
+        monitor = cls.from_meta({**state.meta, "gamma": state.gamma}, backend)
+        # Rows logged under a class the config does not name are ignored.
+        monitor.add_packed_zones(
+            {c: rows for c, rows in state.segment_rows.items() if c in monitor.zones}
         )
-        for c in monitor.classes:
-            # Segment bodies are deduplicated and byte-sorted by
-            # compaction, so the bitset backend ingests them sort-free;
-            # the WAL tail is raw append order and takes the full path.
-            seg_rows = state.segment_rows.get(c)
-            if seg_rows is not None and seg_rows.size:
-                monitor.zones[c].add_packed(seg_rows, assume_sorted_unique=True)
-            tail = state.tail_rows.get(c)
-            if tail is not None and tail.size:
+        for c, tail in state.tail_rows.items():
+            if c in monitor.zones:
                 monitor.zones[c].add_packed(tail)
         if attach:
             monitor.attach_store(store)
@@ -458,27 +492,20 @@ class NeuronActivationMonitor:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: PathLike) -> None:
-        """Serialise to ``.npz``: visited patterns (packed bits) + metadata.
+        """Serialise to ``.npz``: the config plus each class's sorted
+        packed ``Z^0`` rows.
 
-        Zones are rebuilt from visited patterns on load; storing ``Z^0``
-        rather than ``Z^γ`` keeps files small and lets γ (and even the
-        backend) be changed after reload.  The format is backend-portable:
-        every backend can emit and re-ingest its deduplicated visited set.
+        Storing ``Z^0`` rather than ``Z^γ`` keeps files small and lets γ
+        (and even the backend) be changed after reload.  Keys: ``meta``
+        (the :meth:`store_meta` JSON minus ``monitored_neurons``, which
+        is its own array), ``class_<c>`` rows and ``count_<c>`` (their
+        row count, kept for older readers).
         """
-        arrays = {}
-        meta = {
-            "layer_width": self.layer_width,
-            "gamma": self.gamma,
-            "classes": self.classes,
-            "pattern_width": int(len(self.monitored_neurons)),
-            "backend": self.backend_name,
-            "indexed": self.indexed,
-        }
-        arrays["monitored_neurons"] = self.monitored_neurons
-        for c, zone in self.zones.items():
-            visited = zone.backend.visited_patterns()
-            arrays[f"class_{c}"] = pack_patterns(visited)
-            arrays[f"count_{c}"] = np.array([visited.shape[0]])
+        meta = self.store_meta()
+        arrays = {"monitored_neurons": np.asarray(meta.pop("monitored_neurons"))}
+        for c, rows in self.packed_zones().items():
+            arrays[f"class_{c}"] = rows
+            arrays[f"count_{c}"] = np.array([len(rows)])
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez_compressed(path, **arrays)
 
@@ -492,24 +519,9 @@ class NeuronActivationMonitor:
         """
         with np.load(path) as archive:
             meta = json.loads(bytes(archive["meta"]).decode())
-            monitored = archive["monitored_neurons"]
-            restored_backend = backend or meta.get("backend", DEFAULT_BACKEND)
-            monitor = cls(
-                layer_width=int(meta["layer_width"]),
-                classes=meta["classes"],
-                gamma=int(meta["gamma"]),
-                monitored_neurons=monitored,
-                backend=restored_backend,
-                # Indexing is bitset-only; drop it when the engine is
-                # overridden to one that cannot honour it.
-                indexed=bool(meta.get("indexed", False))
-                and restored_backend == "bitset",
+            meta["monitored_neurons"] = archive["monitored_neurons"]
+            monitor = cls.from_meta(meta, backend)
+            monitor.add_packed_zones(
+                {c: archive[f"class_{c}"] for c in monitor.classes}
             )
-            width = int(meta["pattern_width"])
-            for c in meta["classes"]:
-                count = int(archive[f"count_{c}"][0])
-                packed = archive[f"class_{c}"]
-                if count:
-                    patterns = unpack_patterns(packed, width)[:count]
-                    monitor.zones[c].add_patterns(patterns)
         return monitor

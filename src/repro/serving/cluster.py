@@ -50,7 +50,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.devtools.lint.runtime import named_lock
 from repro.serving import netproto
 from repro.serving.executor import (
     LINK_ERRORS,
@@ -208,7 +207,6 @@ class ClusterCoordinator(ShardExecutor):
         heartbeat_timeout: Optional[float] = None,
         reconnect_grace: float = 2.0,
     ):
-        self._lock = named_lock("ClusterCoordinator._lock")
         super().__init__(shards, max_respawns, ready_timeout)
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")

@@ -35,7 +35,9 @@ Everything they share lives here, once:
   every worker whose epoch lags (and any worker that joined mid-swap),
   then replays the held blocks — no block is answered by a mixed-epoch
   fleet.  The same resync rehydrates a worker whose placement grew (the
-  cluster's re-place); ``set_gamma`` is the broadcast for γ alone.
+  cluster's re-place) and carries ``set_gamma``: every worker is stamped
+  with the γ it holds, so one that joined with the old γ lags and is
+  caught like an epoch lag.
 
 Subclasses supply the transport: how workers join (spawned processes or
 registrations on a listen socket), how a block is framed (the pool's
@@ -223,15 +225,15 @@ class _WorkerHandle:
     ``key`` names the worker's slot (a pool index or a cluster worker
     name) and survives the link; the rest belongs to this link: the
     in-flight block map the death handler drains, the ack events of
-    pending γ/zone handshakes, the held shard set, the zone epoch the
-    worker was last synced to, and ``last_seen`` (refreshed by every
+    pending γ/zone handshakes, the held shard set, the zone epoch and γ
+    the worker was last synced to, and ``last_seen`` (refreshed by every
     inbound frame; the cluster's heartbeat reads it).
     """
 
     __slots__ = (
         "key", "conn", "pid", "process", "send_lock", "pump",
-        "shard_ids", "inflight", "acks", "epoch", "dead", "stopped",
-        "last_seen",
+        "shard_ids", "inflight", "acks", "epoch", "gamma", "dead",
+        "stopped", "last_seen",
     )
 
     def __init__(self, key, conn, pid, process=None):
@@ -245,6 +247,7 @@ class _WorkerHandle:
         self.inflight: Dict[int, _Pending] = {}
         self.acks: Dict[int, threading.Event] = {}
         self.epoch = 0
+        self.gamma: Optional[int] = None
         self.dead = False
         self.stopped = False
         self.last_seen = time.monotonic()
@@ -257,10 +260,9 @@ class _WorkerHandle:
 class ShardExecutor:
     """The shared core: dispatch, reply pumps, death handling, zone swap.
 
-    Subclasses create ``self._lock`` with :func:`named_lock` (under their
-    own class name, for the lock graph) *before* calling
-    ``ShardExecutor.__init__``, fill ``self._placement`` (worker key →
-    shard ids), and implement ``start``/``stop`` and :meth:`_replace`.
+    Subclasses fill ``self._placement`` (worker key → shard ids) and
+    implement ``start``/``stop`` and :meth:`_replace`.  ``self._lock``
+    is the one executor lock, shared with the subclass.
     """
 
     #: Subject of user-facing errors ("pool is not running").
@@ -275,6 +277,7 @@ class ShardExecutor:
         shards = list(shards)
         if not shards:
             raise ValueError(f"{self._noun} needs at least one shard")
+        self._lock = named_lock("ShardExecutor._lock")
         self.max_respawns = max_respawns
         self.ready_timeout = ready_timeout
         self._payload_of: Dict[int, dict] = {}
@@ -354,12 +357,14 @@ class ShardExecutor:
     # worker lifecycle
     # ------------------------------------------------------------------
     def _join(self, worker: _WorkerHandle) -> Tuple[List[dict], Optional[int]]:
-        """(Lock held.)  Stamp a joining worker with its shard set and the
-        current epoch; return the payloads and γ its handshake carries.
-        Payloads, γ and epoch are read together, so the worker is wholly
-        pre- or post-swap, never mixed (the swap re-syncs the former)."""
+        """(Lock held.)  Stamp a joining worker with its shard set, the
+        current epoch and γ; return the payloads and γ its handshake
+        carries.  Payloads, γ and epoch are read together, so the worker
+        is wholly pre- or post-swap, never mixed, and a swap or γ change
+        that lands before it is installed finds it stale and re-syncs it."""
         worker.shard_ids = set(self._placement[worker.key])
         worker.epoch = self._epoch
+        worker.gamma = self._gamma
         self._joining.add(worker)
         payloads = [self._payload_of[sid] for sid in sorted(worker.shard_ids)]
         return payloads, self._gamma
@@ -723,20 +728,18 @@ class ShardExecutor:
     # γ + zone-epoch resync
     # ------------------------------------------------------------------
     def set_gamma(self, gamma: int) -> None:
-        """Broadcast a γ change to every worker and wait for the acks
-        (the executor mirror of :meth:`ShardRouter.set_gamma`)."""
+        """Change γ fleet-wide and wait until every worker acked it (the
+        executor mirror of :meth:`ShardRouter.set_gamma`).  Runs as a
+        :meth:`_sync_fleet` round, so a worker that was mid-join with
+        the old γ is re-synced too; ``RuntimeError`` if the round does
+        not finish within ``ready_timeout``."""
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
         with self._lock:
             if not self._running:
                 raise RuntimeError(f"{self._noun} is not running")
             self._gamma = int(gamma)
-            targets = self._ack_targets(self._live())
-        for worker, ack_id, _event in targets:
-            if not self._send(worker, ("gamma", int(gamma), ack_id)):
-                self._on_death(worker)
-        for _worker, _ack_id, event in targets:
-            event.wait(timeout=self.ready_timeout)
+        self._sync_fleet()
 
     def _live(self) -> List[_WorkerHandle]:
         """(Lock held.)  The published workers that have not died or stopped."""
@@ -839,14 +842,15 @@ class ShardExecutor:
             self._changed.wait(remaining)
 
     def _sync_fleet(self) -> None:
-        """Bring every live worker to the current epoch and placement.
+        """Bring every live worker to the current epoch, placement and γ.
 
         A worker whose epoch lags (a zone swap) or whose placement grew
         (a cluster re-place) gets a ``("zone", payloads, γ, ack)`` message
-        with its full shard set and is awaited; only a genuine ack stamps
-        the new epoch and lets dispatch offer it the new shards.  Rounds
-        repeat until no live worker is stale and none is mid-join (a
-        worker that read pre-swap payloads joins with a lagging stamp,
+        with its full shard set; one whose γ alone lags gets ``("gamma",
+        γ, ack)``.  Each is awaited; only a genuine ack stamps the new
+        state and lets dispatch offer it the new shards.  Rounds repeat
+        until no live worker is stale and none is mid-join (a worker that
+        read pre-swap payloads or the old γ joins with a lagging stamp,
         and the next round fixes it).  A link that fails the send is cut;
         its pump runs the death path, which releases the ack.
         """
@@ -862,26 +866,30 @@ class ShardExecutor:
                     if not stale:
                         return
                     epoch, gamma = self._epoch, self._gamma
-                    targets = [
-                        (worker, ack_id, event, sorted(self._placement[worker.key]))
-                        for worker, ack_id, event in self._ack_targets(stale)
-                    ]
-                    messages = [
-                        ("zone", [self._payload_of[sid] for sid in shard_ids],
-                         gamma, ack_id)
-                        for _worker, ack_id, _event, shard_ids in targets
-                    ]
-                for (worker, _ack_id, _event, _ids), message in zip(targets, messages):
+                    targets = []
+                    for worker, ack_id, event in self._ack_targets(stale):
+                        shard_ids = self._placement[worker.key]
+                        if worker.epoch == epoch and worker.shard_ids == shard_ids:
+                            message = ("gamma", gamma, ack_id)
+                        else:
+                            message = (
+                                "zone",
+                                [self._payload_of[sid] for sid in sorted(shard_ids)],
+                                gamma, ack_id,
+                            )
+                        targets.append((worker, event, set(shard_ids), message))
+                for worker, _event, _ids, message in targets:
                     if not self._send(worker, message):
                         worker.conn.close()
-                for worker, _ack_id, event, shard_ids in targets:
+                for worker, event, shard_ids, _message in targets:
                     # A death releases its acks only after marking the
                     # worker dead, so a set event on a live worker is a
                     # genuine ack.
                     if event.wait(timeout=self.ready_timeout) and not worker.dead:
                         with self._lock:
-                            worker.shard_ids = set(shard_ids)
+                            worker.shard_ids = shard_ids
                             worker.epoch = epoch
+                            worker.gamma = gamma
                             self._changed.notify_all()
                 if time.monotonic() > deadline:
                     raise RuntimeError(
@@ -889,10 +897,12 @@ class ShardExecutor:
                     )
 
     def _stale(self) -> List[_WorkerHandle]:
-        """(Lock held.)  Live workers behind the current epoch or placement."""
+        """(Lock held.)  Live workers behind the current epoch, placement
+        or γ."""
         return [
             w for w in self._live()
-            if w.epoch != self._epoch or w.shard_ids != self._placement[w.key]
+            if w.epoch != self._epoch or w.gamma != self._gamma
+            or w.shard_ids != self._placement[w.key]
         ]
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A :class:`ProcessShardPool` spawns N worker processes, each hosting
 :class:`~repro.serving.shard.MonitorShard`\\ s rehydrated from their
-portable ``to_payload()`` form (packed visited-pattern matrices, never
+``to_payload()`` form (config plus sorted packed rows, never
 live backend objects), so any backend's shards rehydrate into any
 process.  Dispatch, reply pumps, crash requeue, the fleet-atomic zone
 swap, γ broadcast and stats are the shared executor core
@@ -49,7 +49,6 @@ import threading
 import warnings
 from typing import Dict, List, Optional, Sequence
 
-from repro.devtools.lint.runtime import named_lock
 from repro.serving import shmring
 from repro.serving.executor import (
     ShardExecutor,
@@ -112,7 +111,6 @@ class ProcessShardPool(ShardExecutor):
         ring_slots: Optional[int] = None,
         ring_slot_bytes: Optional[int] = None,
     ):
-        self._lock = named_lock("ProcessShardPool._lock")
         super().__init__(shards, max_respawns, ready_timeout)
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")

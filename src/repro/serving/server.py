@@ -855,28 +855,17 @@ def run_stream(
     router: ShardRouter,
     patterns: np.ndarray,
     predicted_classes: Sequence[int],
-    max_batch: int = 64,
-    max_delay_ms: float = 2.0,
-    max_pending: int = 1024,
-    shift_detector: Optional[DistributionShiftDetector] = None,
-    distance_detector: Optional[DistanceShiftDetector] = None,
-    drift_responder: Optional[DriftResponder] = None,
-    executor_threads: Optional[int] = None,
-    executor: Optional[str] = None,
-    workers: int = 2,
-    pool_context: Optional[str] = None,
-    pool_transport: Optional[str] = None,
-    pool_dispatch: Optional[str] = None,
-    cluster_address: Optional[str] = None,
     submit: str = "bulk",
+    **server_options,
 ) -> StreamResult:
     """Replay a pattern stream through a server; return verdicts + stats.
 
     Convenience synchronous entry point for the CLI and benchmarks.
-    ``executor`` / ``workers`` select the execution model (see
-    :class:`StreamServer`); timing starts after the server (and, in
-    process mode, the worker fleet's warm-up handshake) is up, so the
-    elapsed figure is steady-state serving rate, not spawn cost.
+    ``server_options`` are :class:`StreamServer` keyword arguments
+    (``executor`` / ``workers`` select the execution model); timing
+    starts after the server (and, in process mode, the worker fleet's
+    warm-up handshake) is up, so the elapsed figure is steady-state
+    serving rate, not spawn cost.
     ``submit`` selects the producer shape:
 
     * ``"bulk"`` (default) — one :meth:`StreamServer.check_many` call:
@@ -891,22 +880,7 @@ def run_stream(
         raise ValueError(f"submit must be 'bulk' or 'per_request', got {submit!r}")
 
     async def _run() -> StreamResult:
-        server = StreamServer(
-            router,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            max_pending=max_pending,
-            shift_detector=shift_detector,
-            distance_detector=distance_detector,
-            drift_responder=drift_responder,
-            executor_threads=executor_threads,
-            executor=executor,
-            workers=workers,
-            pool_context=pool_context,
-            pool_transport=pool_transport,
-            pool_dispatch=pool_dispatch,
-            cluster_address=cluster_address,
-        )
+        server = StreamServer(router, **server_options)
         async with server:
             t0 = time.perf_counter()
             if submit == "bulk":
@@ -932,7 +906,8 @@ def run_stream(
             stats=stats,
             worker_stats=worker_stats,
             drift=(
-                server.drift_stats() if drift_responder is not None else None
+                server.drift_stats()
+                if server_options.get("drift_responder") is not None else None
             ),
         )
 

@@ -8,8 +8,9 @@ monitor for the decisions predicted as those classes.  A
 a monitor into shards, routes query rows to the shard owning their
 predicted class, and reassembles the full monitor with
 :meth:`NeuronActivationMonitor.merge` (the exact inverse of
-:meth:`ShardRouter.partition`, since zones are exchanged as deduplicated
-visited-pattern matrices).
+:meth:`ShardRouter.partition`).  Every one of these hops moves zones in
+one form — the monitor config plus sorted packed ``Z^0`` rows — which is
+also the :meth:`MonitorShard.to_payload` wire form.
 
 Detection monitors shard along their natural axis instead: one shard per
 grid cell (:func:`shard_detection_monitor`), each wrapping that cell's
@@ -24,7 +25,6 @@ import numpy as np
 
 from repro.monitor.detection import DetectionMonitor
 from repro.monitor.monitor import NeuronActivationMonitor
-from repro.monitor.patterns import pack_patterns, unpack_patterns
 
 
 class MonitorShard:
@@ -34,10 +34,10 @@ class MonitorShard:
     all storage and vectorised querying stays in the monitor's zone
     backends, so a shard can live in its own worker, process or host.
     :meth:`to_payload` / :meth:`from_payload` are the wire form for the
-    "own host" case: a picklable dict of packed visited-pattern matrices
-    plus metadata, from which any process can rebuild a bit-identical
-    shard with its own local backends (shared-nothing rehydration — see
-    :class:`~repro.serving.procpool.ProcessShardPool`).
+    "own host" case: the monitor config plus sorted packed ``Z^0`` rows
+    per class, from which any process can rebuild a bit-identical shard
+    with its own local backends (shared-nothing rehydration — see
+    :class:`~repro.serving.executor.ShardExecutor`).
     """
 
     def __init__(self, shard_id: int, monitor: NeuronActivationMonitor):
@@ -65,31 +65,31 @@ class MonitorShard:
     # ------------------------------------------------------------------
     # portable exchange (process/host boundary)
     # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
+    def to_payload(
+        self, classes: Optional[Iterable[int]] = None
+    ) -> Dict[str, object]:
         """Serialise this shard to a plain picklable dict.
 
-        The zone contents travel as the backend-portable deduplicated
-        ``visited_patterns()`` matrices (bit-packed along the row axis,
-        the same exchange format as save/load and ``merge``), so the
-        receiving process rebuilds its own backend of the recorded kind —
-        nothing engine-internal (BDD nodes, sorted word arrays, band
-        indices) ever crosses the pipe.
+        The dict is ``shard_id``, the monitor config
+        (:meth:`NeuronActivationMonitor.store_meta` fields) and
+        ``zones``: class → ``Z^0`` as deduplicated ``pack_patterns`` rows
+        in byte order (:meth:`ZoneBackend.visited_packed`) — the same
+        form as save/load, ``merge`` and the zone store.  The receiving
+        process rebuilds its own backend of the recorded kind; nothing
+        engine-internal (BDD nodes, word arrays, band indices) crosses.
+
+        ``classes`` restricts the payload to some of the monitor's
+        classes, which is how :func:`~repro.monitor.drift.partition_payloads`
+        slices one monitor along a shard layout without building the
+        slices.
         """
-        monitor = self.monitor
-        zones = {}
-        for c, zone in monitor.zones.items():
-            visited = zone.backend.visited_patterns()
-            zones[int(c)] = (pack_patterns(visited), int(visited.shape[0]))
+        meta = self.monitor.store_meta()
+        if classes is not None:
+            meta["classes"] = sorted({int(c) for c in classes})
         return {
             "shard_id": int(self.shard_id),
-            "layer_width": int(monitor.layer_width),
-            "classes": [int(c) for c in monitor.classes],
-            "gamma": int(monitor.gamma),
-            "monitored_neurons": np.asarray(monitor.monitored_neurons),
-            "pattern_width": int(len(monitor.monitored_neurons)),
-            "backend": monitor.backend_name,
-            "indexed": bool(monitor.indexed),
-            "zones": zones,
+            **meta,
+            "zones": self.monitor.packed_zones(meta["classes"]),
         }
 
     @classmethod
@@ -97,23 +97,11 @@ class MonitorShard:
         """Rebuild a shard from :meth:`to_payload` output (exact inverse).
 
         The rebuilt shard owns fresh local backends seeded with the
-        payload's visited sets — verdicts and distances are bit-identical
-        to the source shard's by the backend-equivalence guarantee.
+        payload's rows — verdicts and distances are bit-identical to the
+        source shard's by the backend-equivalence guarantee.
         """
-        monitor = NeuronActivationMonitor(
-            layer_width=int(payload["layer_width"]),
-            classes=payload["classes"],
-            gamma=int(payload["gamma"]),
-            monitored_neurons=payload["monitored_neurons"],
-            backend=payload["backend"],
-            indexed=bool(payload["indexed"]),
-        )
-        width = int(payload["pattern_width"])
-        for c, (packed, count) in payload["zones"].items():
-            if count:
-                monitor.zones[int(c)].add_patterns(
-                    unpack_patterns(packed, width)[:count]
-                )
+        monitor = NeuronActivationMonitor.from_meta(payload)
+        monitor.add_packed_zones(payload["zones"])
         return cls(int(payload["shard_id"]), monitor)
 
     def check_batch(
@@ -236,34 +224,21 @@ class ShardRouter:
     ) -> "ShardRouter":
         """Split a monitor's classes round-robin into ``num_shards`` slices.
 
-        Each shard gets a fresh monitor over the same layer and neuron
-        projection, seeded with the deduplicated visited sets of its
-        classes — the same portable exchange format used by save/load and
-        :meth:`NeuronActivationMonitor.merge`, so partitioning works
-        across backends and :meth:`assemble` is an exact inverse.
+        Each shard is rebuilt from a :meth:`MonitorShard.to_payload`
+        slice of the monitor — the one exchange form — so partitioning
+        works across backends and :meth:`assemble` is an exact inverse.
         """
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         num_shards = min(num_shards, len(monitor.classes))
-        assignments: List[List[int]] = [[] for _ in range(num_shards)]
-        for index, c in enumerate(monitor.classes):
-            assignments[index % num_shards].append(c)
-        shards = []
-        for shard_id, classes in enumerate(assignments):
-            piece = NeuronActivationMonitor(
-                layer_width=monitor.layer_width,
-                classes=classes,
-                gamma=monitor.gamma,
-                monitored_neurons=monitor.monitored_neurons,
-                backend=monitor.backend_name,
-                indexed=monitor.indexed,
+        return cls([
+            MonitorShard.from_payload(
+                MonitorShard(shard_id, monitor).to_payload(
+                    monitor.classes[shard_id::num_shards]
+                )
             )
-            for c in classes:
-                visited = monitor.zones[c].backend.visited_patterns()
-                if len(visited):
-                    piece.zones[c].add_patterns(visited)
-            shards.append(MonitorShard(shard_id, piece))
-        return cls(shards)
+            for shard_id in range(num_shards)
+        ])
 
     def assemble(self) -> NeuronActivationMonitor:
         """Merge the shards back into one monitor (inverse of partition)."""

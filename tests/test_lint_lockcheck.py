@@ -9,13 +9,15 @@ catches it — the race-detector contract the CI lockcheck job relies on.
 
 from __future__ import annotations
 
+import ast
+import textwrap
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.devtools.lint.lockgraph import build_graph_for_paths, find_cycle
+from repro.devtools.lint.lockgraph import build_graph, build_graph_for_paths, find_cycle
 from repro.devtools.lint.runtime import (
     LockOrderRecorder,
     LockOrderViolation,
@@ -158,7 +160,8 @@ class TestStaticGraph:
         assert {
             "DriftResponder._lock",
             "StagingZone._lock",
-            "ProcessShardPool._lock",
+            "ShardExecutor._lock",
+            "ShardExecutor._sync_lock",
             "_WorkerHandle.send_lock",
             "DistributionShiftDetector._lock",
             "DistanceShiftDetector._lock",
@@ -172,17 +175,47 @@ class TestStaticGraph:
         assert ("DriftResponder._lock", "StagingZone._lock") in graph.edge_set()
 
     def test_pool_never_sends_under_its_own_lock(self):
-        # procpool's discipline: _lock is released before send_lock is
-        # taken (snapshot targets are collected under _lock, sent after).
+        # The executor core's discipline (under both the pool and the
+        # cluster): _lock is released before send_lock is taken (resync
+        # targets are collected under _lock, sent after).  The resync
+        # loop's _sync_lock -> _lock edge proves the graph resolves the
+        # lock at all, so the absence checks below are not vacuous.
         graph = build_graph_for_paths(GRAPH_PATHS)
-        assert (
-            "ProcessShardPool._lock",
-            "_WorkerHandle.send_lock",
-        ) not in graph.edge_set()
-        assert (
-            "_WorkerHandle.send_lock",
-            "ProcessShardPool._lock",
-        ) not in graph.edge_set()
+        edges = graph.edge_set()
+        assert ("ShardExecutor._sync_lock", "ShardExecutor._lock") in edges
+        assert ("ShardExecutor._lock", "_WorkerHandle.send_lock") not in edges
+        assert ("_WorkerHandle.send_lock", "ShardExecutor._lock") not in edges
+
+    def test_subclass_acquiring_a_base_class_lock_yields_the_edge(self):
+        source = textwrap.dedent(
+            """
+            class Base:
+                def __init__(self):
+                    self._lock = named_lock("Base._lock")
+
+                def _locked_helper(self):
+                    with self._lock:
+                        pass
+
+            class Child(Base):
+                def __init__(self):
+                    super().__init__()
+                    self._own = named_lock("Child._own")
+
+                def nested(self):
+                    with self._own:
+                        with self._lock:
+                            pass
+
+                def via_call(self):
+                    with self._own:
+                        self._locked_helper()
+            """
+        )
+        graph = build_graph([("fixture.py", ast.parse(source))])
+        edges = {(e.held, e.acquired, e.via) for e in graph.edges}
+        assert ("Child._own", "Base._lock", "") in edges
+        assert ("Child._own", "Base._lock", "_locked_helper") in edges
 
     def test_find_cycle_on_known_cycle(self):
         cycle = find_cycle({("a", "b"), ("b", "c"), ("c", "a")})
